@@ -31,9 +31,12 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    entry_points={"console_scripts": ["walk-not-wait = repro.cli:main"]},
     install_requires=[
         "numpy>=1.22",
         "networkx>=2.6",
+        # repro.theory.theorem1 needs scipy.special.lambertw.
+        "scipy",
     ],
     extras_require={
         "dev": [

@@ -31,17 +31,6 @@ class WalkEstimateConfig:
         paper drops to h=1 on Google Plus).
     weighted_sampling:
         Enable WS-BW backward weighting (Algorithm 2).
-    batch_backward:
-        Route each candidate's backward-repetition loop through
-        :func:`repro.core.weighted.ws_bw_batch` — all K repetitions
-        advance together, with each depth level's queries settled in one
-        accounting operation.  The K walks interleave their draws level
-        by level, so the RNG stream differs from the scalar loop's (the
-        flag has its own golden fixtures rather than scalar parity);
-        what a campaign *pays* is unchanged, since every lookup lands in
-        the API's discovered-graph cache exactly as the scalar walks'
-        would.  Designs without a batched transition law (and type-1
-        restricted views) silently fall back to the scalar loop.
     kernel_backend:
         Kernel backend executing the batch forward-walk trajectory loop
         — a name registered in :mod:`repro.walks.kernels` (``numpy``
@@ -51,8 +40,9 @@ class WalkEstimateConfig:
         state are bit-for-bit unchanged.  Validated here against the
         registry by *name* only; availability (e.g. ``native`` without
         numba installed) is enforced where a backend is actually
-        selected for execution — :class:`repro.core.dispatch.EngineConfig`
-        and the batch front ends.
+        selected for execution — when an
+        :class:`~repro.core.dispatch.EstimationJobSpec` is built, and in
+        the batch front ends.
     epsilon:
         WS-BW's minimum exploration mass ε (paper default 0.1).
     backward_repetitions:
@@ -85,7 +75,6 @@ class WalkEstimateConfig:
     diameter_hint: int = 10
     crawl_hops: int = 2
     weighted_sampling: bool = True
-    batch_backward: bool = False
     kernel_backend: str = "numpy"
     epsilon: float = 0.2
     backward_repetitions: int = 12

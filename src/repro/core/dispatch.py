@@ -1,23 +1,23 @@
 """One front door for every WALK-ESTIMATE engine: ``estimate(job)``.
 
-PRs 1–5 grew five separately-shaped estimation entry points — the scalar
-charged sampler (:class:`~repro.core.walk_estimate.WalkEstimateSampler`),
-its batched-backward charged variant (the PR 4 ``batch_backward`` flag),
-the free-graph batch rounds
+PRs 1–5 grew three families of separately-shaped estimation entry
+points — the scalar charged samplers
+(:class:`~repro.core.walk_estimate.WalkEstimateSampler` /
+:class:`~repro.core.long_run_we.LongRunWalkEstimateSampler`), the
+free-graph batch rounds
 (:func:`~repro.core.walk_estimate.walk_estimate_batch` /
 :func:`~repro.core.long_run_we.long_run_walk_estimate_batch`), and the
 process-sharded forms
 (:func:`~repro.core.sharded.walk_estimate_sharded` /
 :func:`~repro.core.sharded.long_run_walk_estimate_sharded`).  Each is the
 right tool for one regime, but a *caller* — the CLI, the serving layer,
-a notebook — should not have to know five signatures to pick one.
+a notebook — should not have to know six signatures to pick one.
 
 This module is the unification:
 
 * :class:`EngineConfig` names the regime — ``backend`` (``scalar`` /
   ``charged`` / ``batch`` / ``sharded``) × ``long_run`` — plus the
-  engine-shape knobs (worker count, start method, the PR 4
-  ``batch_backward`` flag);
+  engine-shape knobs (worker count, start method, slab storage);
 * :class:`EstimationJobSpec` is one complete, JSON-round-trippable job
   description: transition design, sample count, estimand, error target,
   query budget, tenant, seed, walk knobs, engine config.  It is the wire
@@ -72,9 +72,8 @@ from repro.walks.transitions import (
     TransitionDesign,
 )
 
-#: Backends the dispatcher knows.  ``charged`` is the scalar sampler with
-#: the PR 4 ``batch_backward`` flag forced on — the batched-accounting
-#: charged-API regime of the ROADMAP engine table.
+#: Backends the dispatcher knows.  ``charged`` runs exactly the scalar
+#: sampler; the name stays valid because saved jobs and benchmarks use it.
 BACKENDS = ("scalar", "charged", "batch", "sharded")
 
 #: Estimands the serving layer can evaluate for free (from the discovered
@@ -170,16 +169,14 @@ class EngineConfig:
     backend:
         ``scalar`` — the per-query charged sampler over a
         :class:`~repro.osn.api.SocialNetworkAPI`; ``charged`` — the same
-        sampler with ``batch_backward`` forced on (each candidate's
-        backward repetitions advance together, one accounting settlement
-        per depth level — the PR 4 flag, folded in here); ``batch`` — the
+        sampler under its older name, kept for saved jobs; ``batch`` — the
         vectorized free-graph round over a compiled
         :class:`~repro.graphs.csr.CSRGraph`; ``sharded`` — the same round
         fanned over a :class:`~repro.walks.parallel.ShardedWalkEngine`.
     long_run:
         Segment one (or K) continuous walks instead of restarting per
         sample (§6.1 future work) — selects the ``long_run_*`` twin of
-        the chosen backend.  Not available for ``charged``.
+        the chosen backend.
     n_workers / mp_context:
         Engine shape used when the *caller* asks :func:`estimate` to own
         a sharded engine's lifetime (the CLI does); ignored when an
@@ -189,29 +186,15 @@ class EngineConfig:
         (default) or ``"file"`` with a slab directory (see
         :mod:`repro.graphs.shm`).  Like ``n_workers``, ignored when an
         engine is passed in: a live engine's slab already exists.
-    batch_backward:
-        The PR 4 flag on the scalar backend: route each candidate's
-        backward-repetition loop through
-        :func:`~repro.core.weighted.ws_bw_batch`.  ``charged`` implies it.
-    kernel_backend:
-        Kernel backend for the batch forward-walk trajectory loop —
-        ``numpy`` (reference), ``native`` (Numba JIT), or ``python``
-        (verification twin); see :mod:`repro.walks.kernels`.  Folded
-        into the job's :class:`~repro.core.config.WalkEstimateConfig`
-        the same way ``batch_backward`` is, so the batch and sharded
-        front ends (and :mod:`repro.service` jobs) inherit it.
-        Validated eagerly for *availability*: asking for ``native``
-        on a host without numba fails here with an actionable message
-        rather than as an ImportError mid-job.  Scalar engines walk
-        node-by-node through the charged API and ignore it.
+
+    The walk-kernel backend is not an engine field: it is
+    ``walk.kernel_backend`` on the job (see :class:`EstimationJobSpec`).
     """
 
     backend: str = "batch"
     long_run: bool = False
     n_workers: Optional[int] = None
     mp_context: str = "spawn"
-    batch_backward: bool = False
-    kernel_backend: str = "numpy"
     slab_storage: str = "shm"
     slab_dir: Optional[str] = None
 
@@ -220,7 +203,6 @@ class EngineConfig:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; valid: {', '.join(BACKENDS)}"
             )
-        require_kernel_backend(self.kernel_backend)
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1 or None, got {self.n_workers}"
@@ -232,16 +214,6 @@ class EngineConfig:
             )
         if self.slab_storage == "file" and self.slab_dir is None:
             raise ConfigurationError("slab_storage='file' requires slab_dir")
-        if self.backend == "charged" and self.long_run:
-            raise ConfigurationError(
-                "the charged (batch_backward) regime has no long-run form; "
-                "use backend='scalar' with long_run=True"
-            )
-
-    @property
-    def effective_batch_backward(self) -> bool:
-        """Whether the scalar sampler should run batched backward walks."""
-        return self.batch_backward or self.backend == "charged"
 
     def with_overrides(self, **changes) -> "EngineConfig":
         """Copy with the given fields replaced (validation re-runs)."""
@@ -254,7 +226,30 @@ class EngineConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineConfig":
         """Inverse of :meth:`to_dict`; unknown keys raise."""
-        return cls(**_checked_fields(cls, data))
+        return cls(**_checked_fields(cls, _without_retired_keys(cls, data)))
+
+
+def _without_retired_keys(cls, data: Mapping[str, Any]) -> Dict[str, Any]:
+    """*data* with the keys of retired config fields read away.
+
+    Older job documents and service checkpoints carry two fields that no
+    longer exist.  ``batch_backward`` (walk or engine) only chose between
+    two loops with the same estimator and the same query cost, so it is
+    dropped whatever its value.  ``engine.kernel_backend`` is dropped when
+    it names the default ``numpy``; any other value would silently change
+    the kernel a job runs on, so it raises and points to
+    ``walk.kernel_backend``.
+    """
+    data = dict(data)
+    data.pop("batch_backward", None)
+    if cls is EngineConfig:
+        backend = data.pop("kernel_backend", "numpy")
+        if backend != "numpy":
+            raise ConfigurationError(
+                f"engine.kernel_backend={backend!r} is no longer read; "
+                "set walk.kernel_backend instead"
+            )
+    return data
 
 
 def _checked_fields(cls, data: Mapping[str, Any]) -> Dict[str, Any]:
@@ -308,7 +303,12 @@ class EstimationJobSpec:
     seed:
         Deterministic seed; ``None`` lets the caller supply a stream.
     walk:
-        The :class:`~repro.core.config.WalkEstimateConfig` knobs.
+        The :class:`~repro.core.config.WalkEstimateConfig` knobs, passed
+        to the front end as they are.  Its ``kernel_backend`` is checked
+        for *availability* here: asking for ``native`` on a host without
+        numba fails at spec construction with an actionable message,
+        not as an ImportError mid-job.  Scalar engines walk node by node
+        through the charged API and ignore it.
     engine:
         The :class:`EngineConfig` regime selection.
     """
@@ -348,30 +348,11 @@ class EstimationJobSpec:
             )
         if not self.tenant:
             raise ConfigurationError("tenant must be a non-empty string")
+        require_kernel_backend(self.walk.kernel_backend)
 
     def build_design(self) -> TransitionDesign:
         """The spec's transition design, constructed fresh."""
         return design_from_spec(self.design)
-
-    def walk_config(self) -> WalkEstimateConfig:
-        """The walk knobs with the engine's ``batch_backward`` and
-        ``kernel_backend`` folded in.
-
-        A non-default engine ``kernel_backend`` wins over the walk
-        config's default; a walk config that names a backend explicitly
-        keeps it unless the engine overrides with a non-``numpy`` one —
-        the same "engine regime beats per-walk default" precedence as
-        ``batch_backward``.
-        """
-        config = self.walk
-        if self.engine.effective_batch_backward and not config.batch_backward:
-            config = config.with_overrides(batch_backward=True)
-        if (
-            self.engine.kernel_backend != "numpy"
-            and config.kernel_backend != self.engine.kernel_backend
-        ):
-            config = config.with_overrides(kernel_backend=self.engine.kernel_backend)
-        return config
 
     def with_overrides(self, **changes) -> "EstimationJobSpec":
         """Copy with the given fields replaced (validation re-runs)."""
@@ -398,8 +379,9 @@ class EstimationJobSpec:
         """Inverse of :meth:`to_dict`; nested configs rebuild and re-validate."""
         fields = _checked_fields(cls, data)
         if "walk" in fields and isinstance(fields["walk"], Mapping):
+            walk = _without_retired_keys(WalkEstimateConfig, fields["walk"])
             fields["walk"] = WalkEstimateConfig(
-                **_checked_fields(WalkEstimateConfig, fields["walk"])
+                **_checked_fields(WalkEstimateConfig, walk)
             )
         if "engine" in fields and isinstance(fields["engine"], Mapping):
             fields["engine"] = EngineConfig.from_dict(fields["engine"])
@@ -441,8 +423,6 @@ class EstimateResult:
     @property
     def nodes(self) -> np.ndarray:
         """Accepted sample node ids, as an int64 array."""
-        if isinstance(self.raw, SampleBatch):
-            return np.asarray(self.raw.nodes, dtype=np.int64)
         return np.asarray(self.raw.nodes, dtype=np.int64)
 
     @property
@@ -512,7 +492,7 @@ def estimate(
     backend     required resource
     ========== =====================================================
     scalar      ``api`` — a charged :class:`~repro.osn.api.SocialNetworkAPI`
-    charged     ``api`` (the sampler runs with ``batch_backward`` on)
+    charged     ``api`` (the scalar sampler under its older name)
     batch       ``graph`` — a :class:`~repro.graphs.graph.Graph` or
                 compiled :class:`~repro.graphs.csr.CSRGraph`
     sharded     ``engine`` — a live
@@ -529,7 +509,6 @@ def estimate(
     contract ``tests/core/test_dispatch.py`` pins for every engine row.
     """
     design = job.build_design()
-    config = job.walk_config()
     backend = job.engine.backend
     run_seed = seed if seed is not None else job.seed
 
@@ -539,9 +518,9 @@ def estimate(
                 f"backend {backend!r} estimates against a charged API; pass api=..."
             )
         if job.engine.long_run:
-            sampler: Any = LongRunWalkEstimateSampler(design, config)
+            sampler: Any = LongRunWalkEstimateSampler(design, job.walk)
         else:
-            sampler = WalkEstimateSampler(design, config)
+            sampler = WalkEstimateSampler(design, job.walk)
         raw: Union[SampleBatch, BatchWalkEstimateResult] = sampler.sample(
             api, job.start, job.samples, seed=run_seed
         )
@@ -557,12 +536,12 @@ def estimate(
                 job.start,
                 job.samples,
                 job.segments,
-                config=config,
+                config=job.walk,
                 seed=run_seed,
             )
         else:
             raw = walk_estimate_batch(
-                graph, design, job.start, job.samples, config=config, seed=run_seed
+                graph, design, job.start, job.samples, config=job.walk, seed=run_seed
             )
     else:  # sharded — BACKENDS is closed, __post_init__ enforced membership
         if engine is None:
@@ -576,11 +555,11 @@ def estimate(
                 job.start,
                 job.samples,
                 job.segments,
-                config=config,
+                config=job.walk,
                 seed=run_seed,
             )
         else:
             raw = walk_estimate_sharded(
-                engine, design, job.start, job.samples, config=config, seed=run_seed
+                engine, design, job.start, job.samples, config=job.walk, seed=run_seed
             )
     return EstimateResult(spec=job, raw=raw)

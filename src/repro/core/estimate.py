@@ -5,6 +5,12 @@ the budget-allocation layer: each requested ``p_t(u)`` starts with a base
 number of backward-walk repetitions, then extra repetitions are granted to
 the estimates with the highest variance of the mean ("Use remaining budget
 to reduce variance ... proportional to their variance", Algorithm 3 line 8).
+
+Every realization comes from the scalar
+:func:`~repro.core.weighted.weighted_backward_estimate`, one repetition at
+a time.  Its batched twin :func:`~repro.core.weighted.ws_bw_batch` stays a
+free function: at the default dozen repetitions per candidate the scalar
+loop is about twice as fast, and the batch only pulls ahead from ~50.
 """
 
 from __future__ import annotations
@@ -19,9 +25,7 @@ from repro.core.crawl import InitialCrawl
 from repro.core.weighted import (
     BackwardStats,
     ForwardHistory,
-    has_batched_transition,
     weighted_backward_estimate,
-    ws_bw_batch,
 )
 from repro.errors import EstimationError
 from repro.rng import RngLike, ensure_rng
@@ -132,43 +136,6 @@ class ProbabilityEstimator:
             stats=self.stats,
         )
 
-    def _use_batch_backward(self) -> bool:
-        """Whether the top-up loop may route through :func:`ws_bw_batch`.
-
-        The flag is an opt-in; designs without a batched transition law
-        and type-1 (fresh-subset) restricted views stay on the scalar
-        loop — both are outside the batched estimator's contract.
-        """
-        return (
-            self.config.batch_backward
-            and has_batched_transition(self.design)
-            and getattr(self.view, "cacheable", True)
-        )
-
-    def _batch_realizations(self, node: Node, count: int) -> np.ndarray:
-        """*count* WS-BW realizations of ``p_t(node)`` in one batched walk.
-
-        K = *count* repetitions of the same candidate advance level by
-        level together; each level's queries settle in one accounting
-        operation against the view's discovered-graph cache, charging
-        exactly the unique nodes the scalar loop would.  The draws
-        interleave across repetitions, so the stream differs from the
-        scalar loop's — the ``batch_backward`` golden fixtures pin this
-        stream.
-        """
-        return ws_bw_batch(
-            self.view,
-            self.design,
-            np.full(count, node, dtype=np.int64),
-            self.start,
-            self.walk_length,
-            history=self.history,
-            epsilon=self.config.epsilon,
-            seed=self._rng,
-            crawl=self.crawl,
-            stats=self.stats,
-        )
-
     def estimate(
         self,
         node: Node,
@@ -190,13 +157,8 @@ class ProbabilityEstimator:
         target = (
             repetitions if repetitions is not None else self.config.backward_repetitions
         )
-        needed = max(0, target - record.count)
-        if needed and self._use_batch_backward():
-            for value in self._batch_realizations(node, needed):
-                record.add(float(value))
-        else:
-            for _ in range(needed):
-                record.add(self._one_realization(node))
+        for _ in range(max(0, target - record.count)):
+            record.add(self._one_realization(node))
         if refine and self.config.refine_repetitions > 0:
             self.refine(self.config.refine_repetitions)
         return record

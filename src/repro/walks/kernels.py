@@ -41,11 +41,11 @@ reproducible when the backend changes.  The golden RNG fixtures
 hypothesis suite (``tests/walks/test_kernel_backends.py``) pin this.
 
 Backend selection: ``run_walk_batch(..., backend=...)`` per call,
-``EngineConfig(kernel_backend=...)`` /
-``WalkEstimateConfig(kernel_backend=...)`` for the front ends and the
-service, or the ``REPRO_KERNEL_BACKEND`` environment variable for the
-process default (soft resolution — falls back to ``numpy`` when the
-requested backend is unavailable).
+``WalkEstimateConfig(kernel_backend=...)`` (a job's
+``walk.kernel_backend``) for the front ends and the service, or the
+``REPRO_KERNEL_BACKEND`` environment variable for the process default
+(soft resolution — falls back to ``numpy`` when the requested backend is
+unavailable).
 """
 
 from __future__ import annotations

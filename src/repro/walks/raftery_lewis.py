@@ -25,10 +25,10 @@ dependence-factor diagnostic (values ≫ 1 flag slow mixing).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.errors import ConfigurationError, ConvergenceError
 
@@ -132,7 +132,7 @@ def raftery_lewis(
     if indicator.min() == indicator.max():
         raise ConvergenceError("degenerate indicator series (constant)")
 
-    z_score = float(norm.ppf(0.5 * (1.0 + probability)))
+    z_score = NormalDist().inv_cdf(0.5 * (1.0 + probability))
     minimum_iid = int(np.ceil(quantile * (1 - quantile) * (z_score / precision) ** 2))
 
     thinning = 1

@@ -61,6 +61,46 @@ def config():
     )
 
 
+#: A charged job exactly as ``EstimationJobSpec.to_dict()`` wrote it before
+#: ``batch_backward`` and the engine's copy of ``kernel_backend`` were
+#: retired: both keys appear in ``walk`` and ``engine``.
+RETIRED_KEYS_SPEC = {
+    "design": {"name": "srw"},
+    "samples": 24,
+    "start": 0,
+    "segments": 1,
+    "estimand": "degree",
+    "error_target": None,
+    "query_budget": None,
+    "tenant": "default",
+    "seed": 3,
+    "walk": {
+        "walk_length": None,
+        "diameter_hint": 4,
+        "crawl_hops": 1,
+        "weighted_sampling": True,
+        "batch_backward": False,
+        "kernel_backend": "numpy",
+        "epsilon": 0.2,
+        "backward_repetitions": 12,
+        "refine_repetitions": 4,
+        "scale_percentile": 25.0,
+        "calibration_walks": 15,
+        "max_attempts_per_sample": 200,
+    },
+    "engine": {
+        "backend": "charged",
+        "long_run": False,
+        "n_workers": None,
+        "mp_context": "spawn",
+        "batch_backward": False,
+        "kernel_backend": "numpy",
+        "slab_storage": "shm",
+        "slab_dir": None,
+    },
+}
+
+
 def batch_results_equal(a, b):
     return (
         np.array_equal(a.candidates, b.candidates)
@@ -141,17 +181,6 @@ class TestEngineConfig:
         with pytest.raises(ConfigurationError, match="unknown EngineConfig keys"):
             EngineConfig.from_dict({"backend": "batch", "worker_count": 4})
 
-    def test_charged_implies_batch_backward(self):
-        assert EngineConfig(backend="charged").effective_batch_backward
-        assert not EngineConfig(backend="scalar").effective_batch_backward
-        assert EngineConfig(
-            backend="scalar", batch_backward=True
-        ).effective_batch_backward
-
-    def test_charged_has_no_long_run(self):
-        with pytest.raises(ConfigurationError, match="long-run"):
-            EngineConfig(backend="charged", long_run=True)
-
     def test_bad_worker_count(self):
         with pytest.raises(ConfigurationError, match="n_workers"):
             EngineConfig(n_workers=0)
@@ -179,14 +208,29 @@ class TestJobSpec:
         assert spec.design == {"name": "srw"}
         assert isinstance(spec.build_design(), SimpleRandomWalk)
 
-    def test_walk_config_folds_in_charged_flag(self, config):
-        spec = EstimationJobSpec(
-            design="srw", walk=config, engine=EngineConfig(backend="charged")
+    @pytest.mark.parametrize("batch_backward", [False, True])
+    def test_retired_keys_read_away(self, batch_backward):
+        data = {
+            **RETIRED_KEYS_SPEC,
+            "walk": {**RETIRED_KEYS_SPEC["walk"], "batch_backward": batch_backward},
+            "engine": {**RETIRED_KEYS_SPEC["engine"], "batch_backward": batch_backward},
+        }
+        spec = EstimationJobSpec.from_dict(data)
+        assert spec == EstimationJobSpec(
+            design="srw",
+            samples=24,
+            seed=3,
+            walk=WalkEstimateConfig(diameter_hint=4, crawl_hops=1),
+            engine=EngineConfig(backend="charged"),
         )
-        assert spec.walk_config().batch_backward
-        assert not spec.walk.batch_backward  # original untouched
-        plain = EstimationJobSpec(design="srw", walk=config)
-        assert plain.walk_config() is config
+        assert EstimationJobSpec.from_json(spec.to_json()) == spec
+
+    def test_retired_engine_kernel_backend_other_than_numpy_raises(self):
+        engine = {**RETIRED_KEYS_SPEC["engine"], "kernel_backend": "python"}
+        with pytest.raises(ConfigurationError, match="walk.kernel_backend"):
+            EngineConfig.from_dict(engine)
+        with pytest.raises(ConfigurationError, match="walk.kernel_backend"):
+            EstimationJobSpec.from_dict({**RETIRED_KEYS_SPEC, "engine": engine})
 
     @pytest.mark.parametrize(
         ("field", "value", "match"),
@@ -237,39 +281,23 @@ class TestScalarParity:
         assert via_dispatch.query_cost == direct.query_cost
         assert via_dispatch.to_sample_batch() is via_dispatch.raw
 
-    def test_charged_matches_batch_backward_sampler(self, hidden, config):
-        spec = EstimationJobSpec(
-            design="srw",
-            samples=6,
-            seed=33,
-            walk=config,
-            engine=EngineConfig(backend="charged"),
-        )
-        via_dispatch = estimate(spec, api=SocialNetworkAPI(hidden))
-        direct = WalkEstimateSampler(
-            SimpleRandomWalk(), config.with_overrides(batch_backward=True)
-        ).sample(SocialNetworkAPI(hidden), 0, 6, seed=33)
-        assert sample_batches_equal(via_dispatch.raw, direct)
-
-    def test_charged_differs_from_plain_scalar_stream(self, hidden, config):
-        # Sanity that the charged flag actually reaches the sampler: the
-        # joint RNG stream of batched backward walks differs from the
-        # scalar loop whenever a candidate needs K > 1 repetitions.
-        scalar = estimate(
-            EstimationJobSpec(
-                design="srw", samples=6, seed=33, walk=config,
-                engine=EngineConfig(backend="scalar"),
-            ),
-            api=SocialNetworkAPI(hidden),
-        )
-        charged = estimate(
-            EstimationJobSpec(
-                design="srw", samples=6, seed=33, walk=config,
-                engine=EngineConfig(backend="charged"),
-            ),
-            api=SocialNetworkAPI(hidden),
-        )
-        assert scalar.raw.nodes != charged.raw.nodes
+    @pytest.mark.parametrize("long_run", [False, True], ids=["restart", "long-run"])
+    @pytest.mark.parametrize("name", list(DESIGN_SPECS), ids=list(DESIGN_SPECS))
+    def test_charged_is_bit_identical_to_scalar(self, name, long_run, hidden, config):
+        # ``charged`` is the scalar sampler under its older name: same
+        # samples, same weights, same queries paid, same effort.
+        results = {}
+        for backend in ("scalar", "charged"):
+            spec = EstimationJobSpec(
+                design=DESIGN_SPECS[name],
+                samples=6,
+                seed=33,
+                walk=config,
+                engine=EngineConfig(backend=backend, long_run=long_run),
+            )
+            results[backend] = estimate(spec, api=SocialNetworkAPI(hidden))
+        assert sample_batches_equal(results["scalar"].raw, results["charged"].raw)
+        assert results["charged"].query_cost > 0
 
     def test_scalar_long_run_matches_direct(self, hidden, config):
         spec = EstimationJobSpec(

@@ -67,6 +67,16 @@ def test_estimates_accumulate_for_repeat_candidates(small_ba, rng):
     assert second.count == count_after_first  # base already satisfied
 
 
+def test_lighter_repetitions_top_up_to_base(small_ba, rng):
+    # The calibration phase asks for fewer repetitions first; a later
+    # production estimate tops the same record up to the base count.
+    estimator = make_estimator(small_ba, rng)
+    record = estimator.estimate(9, repetitions=3, refine=False)
+    assert record.count == 3
+    assert estimator.estimate(9, refine=False).count == 10
+    assert estimator.stats.walks == 10
+
+
 def test_refine_spends_budget_on_pending_estimates(small_ba, rng):
     estimator = make_estimator(small_ba, rng)
     estimator.estimate(9)

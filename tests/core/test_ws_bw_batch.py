@@ -253,8 +253,9 @@ def test_unsupported_design_rejected_before_charging(small_ba):
     from repro.walks.transitions import BidirectionalWalk
 
     api = SocialNetworkAPI(small_ba)
-    with pytest.raises(ConfigurationError):
-        ws_bw_batch(api, BidirectionalWalk(), np.array([0, 1]), 0, T, seed=0)
+    for design in (BidirectionalWalk(), LazyWalk(BidirectionalWalk(), 0.5)):
+        with pytest.raises(ConfigurationError, match="no batched transition"):
+            ws_bw_batch(api, design, np.array([0, 1]), 0, T, seed=0)
     assert api.query_cost == 0  # rejected before any budget was spent
 
 

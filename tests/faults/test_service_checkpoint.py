@@ -144,6 +144,36 @@ class TestResumeParity:
         finally:
             resumed.close()
 
+    def test_checkpoint_with_retired_spec_keys_resumes(self, hidden, tmp_path):
+        # Checkpoints written before ``batch_backward`` and the engine's
+        # copy of ``kernel_backend`` were retired carry both keys in every
+        # job spec; they still load and finish the campaign bit for bit.
+        with make_service(hidden) as reference:
+            reference.run([job_spec("alice"), job_spec("bob")])
+            expected = campaign_fingerprint(reference)
+
+        with make_service(hidden) as service:
+            service.submit_nowait(job_spec("alice"))
+            service.submit_nowait(job_spec("bob"))
+            step(service)
+            step(service)
+            document = json.loads(json.dumps(service.checkpoint()))
+        for job in document["jobs"]:
+            job["spec"]["walk"]["batch_backward"] = False
+            job["spec"]["engine"]["batch_backward"] = True
+            job["spec"]["engine"]["kernel_backend"] = "numpy"
+        path = tmp_path / "retired-keys.ckpt.json"
+        path.write_text(json.dumps(document))
+
+        resumed = SamplingService.resume(
+            SocialNetworkAPI(hidden), checkpoint_module.load(path), latency=LATENCY
+        )
+        try:
+            finish(resumed)
+            assert campaign_fingerprint(resumed) == expected
+        finally:
+            resumed.close()
+
     def test_periodic_checkpoints_during_serve(self, hidden, tmp_path):
         path = tmp_path / "auto.ckpt.json"
         config = ServiceConfig(

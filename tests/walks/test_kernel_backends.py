@@ -13,10 +13,11 @@ Three layers under test:
   native trajectory loop without the JIT, so this parity is proven on
   numba-less hosts too; with numba installed the ``native`` backend
   runs the same cases through the compiled dispatcher.
-* **Config plumbing** — ``kernel_backend`` on ``WalkEstimateConfig`` /
-  ``EngineConfig`` (validation, actionable unavailability error, the
-  ``walk_config()`` fold) and end-to-end equality of the batch
-  WALK-ESTIMATE front ends across backends.
+* **Config plumbing** — ``kernel_backend`` on ``WalkEstimateConfig``
+  and a job's ``walk`` (validation, actionable unavailability error at
+  spec construction, JSON round trip, ``estimate()`` passing it through)
+  and end-to-end equality of the batch WALK-ESTIMATE front ends across
+  backends.
 """
 
 import warnings
@@ -27,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import WalkEstimateConfig
-from repro.core.dispatch import EngineConfig, EstimationJobSpec
+from repro.core.dispatch import EngineConfig, EstimationJobSpec, estimate
 from repro.core.walk_estimate import walk_estimate_batch
 from repro.errors import ConfigurationError, GraphError
 from repro.graphs.generators import barabasi_albert_graph
@@ -148,9 +149,9 @@ class TestNumbaLessFallback:
                 triangle, SimpleRandomWalk(), [0], 3, seed=0, backend="native"
             )
 
-    def test_engine_config_native_raises_actionably(self):
+    def test_job_spec_native_raises_actionably(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            EngineConfig(kernel_backend="native")
+            EstimationJobSpec(walk=WalkEstimateConfig(kernel_backend="native"))
         message = str(excinfo.value)
         assert "numba" in message and "pip install" in message
 
@@ -277,28 +278,51 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigurationError, match="unknown kernel_backend"):
             WalkEstimateConfig(kernel_backend="cuda")
 
-    def test_engine_config_accepts_available_backends(self):
-        assert EngineConfig(kernel_backend="python").kernel_backend == "python"
+    def test_job_spec_accepts_available_backends(self):
+        walk = WalkEstimateConfig(kernel_backend="python")
+        assert EstimationJobSpec(walk=walk).walk.kernel_backend == "python"
         with pytest.raises(ConfigurationError):
-            EngineConfig(kernel_backend="cuda")
+            EstimationJobSpec.from_dict({"walk": {"kernel_backend": "cuda"}})
 
-    def test_engine_config_round_trips_kernel_backend(self):
-        config = EngineConfig(backend="sharded", kernel_backend="python")
-        assert EngineConfig.from_dict(config.to_dict()) == config
-
-    def test_job_spec_folds_engine_backend_into_walk_config(self):
-        job = EstimationJobSpec(engine=EngineConfig(kernel_backend="python"))
-        assert job.walk_config().kernel_backend == "python"
-
-    def test_walk_config_explicit_backend_survives_default_engine(self):
-        job = EstimationJobSpec(walk=WalkEstimateConfig(kernel_backend="python"))
-        assert job.walk_config().kernel_backend == "python"
+    def test_engine_config_has_no_kernel_backend(self):
+        assert "kernel_backend" not in EngineConfig().to_dict()
+        with pytest.raises(TypeError):
+            EngineConfig(kernel_backend="python")
 
     def test_job_spec_json_round_trip_carries_backend(self):
-        job = EstimationJobSpec(engine=EngineConfig(kernel_backend="python"))
+        job = EstimationJobSpec(
+            walk=WalkEstimateConfig(kernel_backend="python"),
+            engine=EngineConfig(backend="sharded"),
+        )
         restored = EstimationJobSpec.from_json(job.to_json())
-        assert restored.engine.kernel_backend == "python"
+        assert restored.walk.kernel_backend == "python"
         assert restored == job
+
+    def test_estimate_runs_the_walk_kernel_backend(self, monkeypatch):
+        # estimate() hands job.walk to the front end as it is, so the
+        # batch walk runs on the backend the walk config names.
+        import repro.core.walk_estimate as front_end
+
+        seen = []
+        real = front_end.run_walk_batch
+
+        def spy(*args, backend=None, **kwargs):
+            seen.append(backend)
+            return real(*args, backend=backend, **kwargs)
+
+        monkeypatch.setattr(front_end, "run_walk_batch", spy)
+        csr = barabasi_albert_graph(60, 3, seed=4).relabeled().compile()
+        walk = WalkEstimateConfig(diameter_hint=3, calibration_walks=4)
+        jobs = {
+            name: EstimationJobSpec(
+                samples=12, seed=8, walk=walk.with_overrides(kernel_backend=name)
+            )
+            for name in ("numpy", "python")
+        }
+        results = {name: estimate(job, graph=csr) for name, job in jobs.items()}
+        assert seen and set(seen) == {"numpy", "python"}
+        assert np.array_equal(results["numpy"].nodes, results["python"].nodes)
+        assert np.array_equal(results["numpy"].weights, results["python"].weights)
 
     @pytest.mark.parametrize("backend", ALTERNATE_BACKENDS)
     def test_walk_estimate_batch_is_backend_invariant(self, backend):
