@@ -299,6 +299,21 @@ class TestScalarParity:
         assert sample_batches_equal(results["scalar"].raw, results["charged"].raw)
         assert results["charged"].query_cost > 0
 
+    def test_charged_matches_direct_scalar_sampler(self, hidden, config):
+        spec = EstimationJobSpec(
+            design="srw",
+            samples=6,
+            seed=33,
+            walk=config,
+            engine=EngineConfig(backend="charged"),
+        )
+        via_dispatch = estimate(spec, api=SocialNetworkAPI(hidden))
+        direct = WalkEstimateSampler(SimpleRandomWalk(), config).sample(
+            SocialNetworkAPI(hidden), 0, 6, seed=33
+        )
+        assert sample_batches_equal(via_dispatch.raw, direct)
+        assert via_dispatch.query_cost == direct.query_cost
+
     def test_scalar_long_run_matches_direct(self, hidden, config):
         spec = EstimationJobSpec(
             design="mhrw",

@@ -249,6 +249,26 @@ def test_negative_node_ids_keep_parity():
         assert scalar == batch, seed
 
 
+def test_batched_transition_support_by_design(small_ba):
+    # The design families with a batched transition probability run; the
+    # rest (including a lazy wrapper over one) are refused up front.
+    from repro.walks.transitions import BidirectionalWalk
+
+    supported = (
+        SimpleRandomWalk(),
+        MetropolisHastingsWalk(),
+        MaxDegreeWalk(100),
+        LazyWalk(SimpleRandomWalk(), 0.5),
+    )
+    for design in supported:
+        values = ws_bw_batch(small_ba, design, np.array([0, 1]), 0, T, seed=0)
+        assert values.shape == (2,), design.name
+        assert np.all(np.isfinite(values)) and np.all(values >= 0), design.name
+    for design in (BidirectionalWalk(), LazyWalk(BidirectionalWalk(), 0.5)):
+        with pytest.raises(ConfigurationError, match="no batched transition"):
+            ws_bw_batch(small_ba, design, np.array([0]), 0, T, seed=0)
+
+
 def test_unsupported_design_rejected_before_charging(small_ba):
     from repro.walks.transitions import BidirectionalWalk
 

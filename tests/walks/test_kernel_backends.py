@@ -284,10 +284,19 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigurationError):
             EstimationJobSpec.from_dict({"walk": {"kernel_backend": "cuda"}})
 
+    def test_explicit_walk_backend_survives_engine(self):
+        job = EstimationJobSpec(walk=WalkEstimateConfig(kernel_backend="python"))
+        assert job.engine == EngineConfig()
+        assert job.walk.kernel_backend == "python"
+        rerouted = job.with_overrides(engine=EngineConfig(backend="sharded"))
+        assert rerouted.walk.kernel_backend == "python"
+
     def test_engine_config_has_no_kernel_backend(self):
         assert "kernel_backend" not in EngineConfig().to_dict()
         with pytest.raises(TypeError):
             EngineConfig(kernel_backend="python")
+        config = EngineConfig(backend="sharded")
+        assert EngineConfig.from_dict(config.to_dict()) == config
 
     def test_job_spec_json_round_trip_carries_backend(self):
         job = EstimationJobSpec(
